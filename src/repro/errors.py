@@ -113,6 +113,15 @@ class ServiceOverloadedError(ServingError):
         self.retry_after_s = retry_after_s
 
 
+class ServiceUnreachableError(ServingError):
+    """The service could not be reached at all (refused, reset, timed out).
+
+    A transport failure, not an answer: no HTTP status came back.  The
+    client rotates endpoints on it, and a process worker maps it to
+    :class:`WorkerUnavailableError`.
+    """
+
+
 class SessionNotFoundError(ServingError):
     """A session id names no live session (expired, evicted, or never created).
 

@@ -14,7 +14,8 @@ fronts a whole fleet unchanged.  What it adds over one engine:
   dispatches across the whole fleet; excess load sheds with the same
   typed 503 + Retry-After contract the per-engine service uses, *before*
   any replica is touched.
-* **Failover** — a dispatch that finds its replica dead
+* **Failover** — one routing loop (:meth:`FleetRouter._route`) serves
+  every routed request kind.  A dispatch that finds its replica dead
   (:class:`~repro.errors.WorkerUnavailableError`) marks it dead, drains
   it, rebalances the ring and re-dispatches the request to the next
   replica in the key's preference order: the request is re-enqueued, not
@@ -27,10 +28,12 @@ fronts a whole fleet unchanged.  What it adds over one engine:
   ``error`` event, never a silent re-dispatch that could duplicate
   delivered tokens.
 * **Session affinity** — :meth:`session_create` routes by prefix bucket
-  and pins the session to the replica holding its warm KV slab; extends
-  ride the ``session id -> worker`` map, and a dead owner converts to a
-  crisp :class:`~repro.errors.SessionNotFoundError` (``sessions_lost``
-  counter) so editors re-create instead of hanging.
+  and pins the session to the replica holding its warm KV slab.  The
+  fleet session id names that owner (``w0.s0000``: replica id, ``.``,
+  the replica's own id), so ids minted by different replicas never
+  collide; extends ride the ``session id -> worker`` map, and a dead
+  owner converts to a crisp :class:`~repro.errors.SessionNotFoundError`
+  (``sessions_lost`` counter) so editors re-create instead of hanging.
 * **Heartbeat liveness** — :meth:`heartbeat_tick` probes every replica on
   the shared :mod:`repro.faults.clock`; a replica whose last successful
   probe is older than ``heartbeat_timeout_s`` is declared wedged, killed
@@ -39,11 +42,12 @@ fronts a whole fleet unchanged.  What it adds over one engine:
   capacity under the same membership/rebalance path.
 * **Distributed observability** — with tracing enabled the router mints a
   :class:`~repro.obs.distributed.TraceContext` per request and propagates
-  it to workers, whose span trees parent under the router's
-  ``fleet.predict`` span; with a
+  it to workers, whose span trees parent under the router's root span
+  (``fleet.predict``, ``fleet.predict_stream``, ...); with a
   :class:`~repro.obs.distributed.FleetCollector` attached, every
   heartbeat tick also drains replica telemetry
-  (spans / Prometheus / profiles) for fleet-wide merging.
+  (spans / Prometheus / profiles) for fleet-wide merging.  Every router
+  counter lives in the metrics registry; :meth:`stats` reads it there.
 
 Every liveness decision and dispatch runs through the PR 5 fault seams
 (``fleet.spawn`` / ``fleet.heartbeat`` / ``fleet.dispatch``), so a seeded
@@ -53,6 +57,7 @@ heartbeats or fail spawns — deterministically, replayably.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from contextlib import nullcontext
 
@@ -67,7 +72,7 @@ from repro.errors import (
 )
 from repro.faults import clock
 from repro.faults.inject import fire
-from repro.fleet.affinity import DEFAULT_PREFIX_DEPTH, HashRing, prefix_bucket
+from repro.fleet.affinity import HashRing, prefix_bucket
 from repro.obs import Observability
 from repro.obs.distributed import (
     FleetCollector,
@@ -80,6 +85,41 @@ from repro.obs.export import prometheus_exposition
 ROUTING_POLICIES = ("affinity", "round_robin")
 
 
+ROUTING_POLICIES = ("affinity", "round_robin")
+#: Virtual nodes per replica on the consistent-hash ring.
+VNODES = 64
+#: ``Retry-After`` hint (seconds) on fleet 503s no replica supplied one for.
+SHED_RETRY_AFTER_S = 0.5
+#: Prefix of the trace ids the router mints (``t-00000001``, ...).
+TRACE_PREFIX = "t"
+#: Joins the owning replica's id to its own session id into the fleet
+#: session id (``w0.s0000``).  Path-safe, so it rides ``/v1/sessions/{id}``.
+SESSION_ID_SEP = "."
+
+#: ``stats()`` key -> the registry counter it reads.
+STATS_COUNTERS = {
+    "requests": "fleet.requests",
+    "batch_requests": "fleet.batch_requests",
+    "stream_requests": "fleet.streams",
+    "session_creates": "fleet.session_creates",
+    "session_extends": "fleet.session_extends",
+    "sessions_lost": "fleet.sessions_lost",
+    "shed_requests": "fleet.shed",
+    "failovers": "fleet.failovers",
+    "spills": "fleet.spills",
+    "rebalances": "fleet.rebalances",
+    "heartbeat_misses": "fleet.heartbeat_misses",
+    "workers_lost": "fleet.workers_lost",
+    "respawns": "fleet.respawns",
+    "spawn_failures": "fleet.spawn_failures",
+}
+
+
+def _require_text(value, what: str) -> None:
+    if not isinstance(value, str) or not value.strip():
+        raise ServingError(f"{what} must be a non-empty string")
+
+
 class FleetRouter:
     """Spread requests over replicas; keep serving through replica death."""
 
@@ -89,14 +129,10 @@ class FleetRouter:
         *,
         policy: str = "affinity",
         max_inflight: int | None = None,
-        shed_retry_after_s: float = 0.5,
         heartbeat_timeout_s: float = 5.0,
-        affinity_depth: int = DEFAULT_PREFIX_DEPTH,
-        vnodes: int = 64,
         spawner=None,
         obs: Observability | None = None,
         collector: FleetCollector | None = None,
-        trace_prefix: str = "t",
     ):
         if policy not in ROUTING_POLICIES:
             raise FleetError(f"unknown policy {policy!r} (known: {ROUTING_POLICIES})")
@@ -104,56 +140,34 @@ class FleetRouter:
             raise FleetError(f"max_inflight must be >= 1, got {max_inflight}")
         self.policy = policy
         self.max_inflight = max_inflight
-        self.shed_retry_after_s = shed_retry_after_s
         self.heartbeat_timeout_s = heartbeat_timeout_s
-        self.affinity_depth = affinity_depth
         self.spawner = spawner
         self._workers: dict[str, object] = {}
         self._dead: dict[str, str] = {}  # worker id -> reason
-        self._ring = HashRing(vnodes=vnodes)
+        self._ring = HashRing(vnodes=VNODES)
         self._last_heartbeat: dict[str, float] = {}
         self._rr_index = 0
-        self._inflight_count = 0
-        #: Session affinity: session id -> worker id that holds its KV slab.
-        self._session_owner: dict[str, str] = {}
+        #: Session affinity: fleet session id -> (owner worker id, its session id).
+        self._sessions: dict[str, tuple[str, str]] = {}
         self._lock = threading.RLock()
         self._heartbeat_thread: threading.Thread | None = None
         self._heartbeat_stop = threading.Event()
-        # -- accounting --
-        self.request_count = 0
-        self.batch_request_count = 0
-        self.stream_request_count = 0
-        self.session_create_count = 0
-        self.session_extend_count = 0
-        self.sessions_lost = 0
-        self.shed_count = 0
-        self.failover_count = 0
-        self.spill_count = 0
-        self.rebalance_count = 0
-        self.heartbeat_miss_count = 0
-        self.workers_lost = 0
-        self.respawn_count = 0
-        self.spawn_failures = 0
-        # -- observability --
+        # -- observability: the registry is the only ledger --
         self.obs = obs if obs is not None else Observability()
         #: Telemetry aggregation (None = off): polled every heartbeat tick.
         self.collector = collector
-        self._trace_ids = TraceIdAllocator(prefix=trace_prefix)
+        self._trace_ids = TraceIdAllocator(prefix=TRACE_PREFIX)
         metrics = self.obs.metrics
-        self._c_requests = metrics.counter("fleet.requests")
-        self._c_batch_requests = metrics.counter("fleet.batch_requests")
-        self._c_streams = metrics.counter("fleet.streams")
-        self._c_sessions_lost = metrics.counter("fleet.sessions_lost")
-        self._c_shed = metrics.counter("fleet.shed")
-        self._c_failovers = metrics.counter("fleet.failovers")
-        self._c_spills = metrics.counter("fleet.spills")
-        self._c_heartbeat_misses = metrics.counter("fleet.heartbeat_misses")
-        self._c_workers_lost = metrics.counter("fleet.workers_lost")
+        self._counters = {key: metrics.counter(name) for key, name in STATS_COUNTERS.items()}
         self._g_live = metrics.gauge("fleet.live_workers")
         self._g_inflight = metrics.gauge("fleet.inflight")
         self._h_dispatch = metrics.histogram("fleet.dispatch_s")
         for worker in workers or ():
             self.add_worker(worker)
+
+    def _count(self, *keys: str, amount: int = 1) -> None:
+        for key in keys:
+            self._counters[key].inc(amount)
 
     # -- membership ----------------------------------------------------------
 
@@ -177,7 +191,7 @@ class FleetRouter:
             self._ring.add(worker_id)
             self._last_heartbeat[worker_id] = clock.now()
             self._dead.pop(worker_id, None)
-            self.rebalance_count += 1
+            self._count("rebalances")
             self._g_live.set(len(self._workers))
 
     def remove_worker(self, worker_id: str, reason: str = "removed") -> None:
@@ -192,20 +206,18 @@ class FleetRouter:
         self._ring.remove(worker_id)
         self._last_heartbeat.pop(worker_id, None)
         self._dead[worker_id] = reason
-        self.rebalance_count += 1
+        self._count("rebalances")
         if reason != "removed":
-            self.workers_lost += 1
-            self._c_workers_lost.inc()
+            self._count("workers_lost")
         self._g_live.set(len(self._workers))
         # Sessions pinned to this replica died with its arena: forget the
         # affinity mappings so later extends get a crisp 404 (and the
         # plugin's create-on-miss fallback a fresh replica), not a hang.
-        orphaned = [sid for sid, owner in self._session_owner.items() if owner == worker_id]
+        orphaned = [sid for sid, (owner, _) in self._sessions.items() if owner == worker_id]
         for sid in orphaned:
-            del self._session_owner[sid]
+            del self._sessions[sid]
         if orphaned:
-            self.sessions_lost += len(orphaned)
-            self._c_sessions_lost.inc(len(orphaned))
+            self._count("sessions_lost", amount=len(orphaned))
         # Drain: abort whatever the replica still holds.  For an in-process
         # replica this cancels live engine rows (freeing KV slabs); for a
         # process replica it terminates the child.  Requests currently
@@ -221,8 +233,7 @@ class FleetRouter:
     def _on_worker_failure(self, worker_id: str, reason: str) -> None:
         with self._lock:
             self._mark_dead_locked(worker_id, reason)
-            self.failover_count += 1
-            self._c_failovers.inc()
+        self._count("failovers")
 
     def _respawn_locked(self, dead_id: str) -> None:
         if self.spawner is None:
@@ -230,44 +241,112 @@ class FleetRouter:
         try:
             replacement = self.spawner(dead_id)
         except (InjectedFault, FleetError, ServingError):
-            self.spawn_failures += 1
+            self._count("spawn_failures")
             return
         if replacement is not None:
             self.add_worker(replacement)
-            self.respawn_count += 1
+            self._count("respawns")
 
-    # -- admission -----------------------------------------------------------
-
-    def _try_admit(self) -> bool:
+    def _touch(self, worker_id: str) -> None:
+        """A replica answered: that counts as a heartbeat."""
         with self._lock:
-            if self.max_inflight is not None and self._inflight_count >= self.max_inflight:
-                return False
-            self._inflight_count += 1
-            self._g_inflight.inc()
-            return True
+            if worker_id in self._workers:
+                self._last_heartbeat[worker_id] = clock.now()
 
-    def _release_admission(self) -> None:
-        with self._lock:
-            self._inflight_count -= 1
-            self._g_inflight.dec()
+    # -- one request ---------------------------------------------------------
 
     def _shed(self, reason: str, retry_after_s: float | None = None) -> ServiceOverloadedError:
-        with self._lock:
-            self.shed_count += 1
-        self._c_shed.inc()
-        retry_after = retry_after_s if retry_after_s is not None else self.shed_retry_after_s
+        self._count("shed_requests")
+        retry_after = retry_after_s if retry_after_s is not None else SHED_RETRY_AFTER_S
         return ServiceOverloadedError(
             f"fleet overloaded ({reason}); retry after {retry_after}s",
             retry_after_s=retry_after,
         )
 
-    # -- routing -------------------------------------------------------------
+    def _try_admit(self) -> bool:
+        with self._lock:
+            if self.max_inflight is not None and self._g_inflight.value >= self.max_inflight:
+                return False
+            self._g_inflight.inc()
+            return True
 
-    def _candidates(self, prompt: str) -> list[str]:
-        """Live replicas in dispatch-preference order for ``prompt``."""
+    def _release_admission(self) -> None:
+        self._g_inflight.dec()
+
+    def _trace_for(self, inbound: TraceContext | None) -> TraceContext | None:
+        """The downstream context for one request: adopt or mint.
+
+        An ``inbound`` context (a client that already traces, or the REST
+        front door forwarding the propagation headers) keeps its trace id
+        end to end; without one the router mints its own when tracing is
+        enabled, and returns None otherwise.  Either way ``parent_span``
+        names the router's root span
+        (:func:`~repro.obs.distributed.router_span_ref`), so a worker
+        adopting the context parents its span tree under the router's.
+        """
+        if inbound is not None:
+            trace_id = inbound.trace_id
+        elif self.obs.tracer.enabled:
+            with self._lock:
+                trace_id = self._trace_ids.allocate()
+        else:
+            return None
+        return TraceContext(trace_id=trace_id, parent_span=router_span_ref(trace_id))
+
+    def _serve(self, name: str, inbound, deadline_s, route, hold: bool = False, **attrs):
+        """Run one fleet request: admission, trace, root span, then ``route``.
+
+        Sheds with the fleet 503 when ``max_inflight`` dispatches are
+        already running.  Otherwise adopts ``inbound`` or mints a trace
+        context, activates it, opens the root span ``name`` and calls
+        ``route(hop)``, which returns ``(worker_id, failovers, result)``.
+        ``hop()`` gives the keywords of one call to a replica: the
+        deadline left and the trace context.
+
+        Returns ``(result, stamp)``, where ``stamp`` holds the ``worker``,
+        ``failovers`` and ``trace_id`` fields, each only when set, for the
+        caller to put on its payload.  With ``hold`` a successful call
+        keeps its admission slot and the caller releases it with
+        :meth:`_release_admission` (a stream, when it ends).
+        """
+        if not self._try_admit():
+            raise self._shed("fleet admission queue full")
+        held = False
+        try:
+            deadline_at = clock.now() + deadline_s if deadline_s is not None else None
+            context = self._trace_for(inbound)
+
+            def hop() -> dict:
+                remaining = None
+                if deadline_at is not None:
+                    remaining = deadline_at - clock.now()
+                    if remaining <= 0:
+                        raise DeadlineExceededError("deadline exhausted before a replica answered")
+                return {"deadline_s": remaining, "trace_context": context}
+
+            activation = (
+                self.obs.tracer.activate(inbound.trace_id, inbound.parent_span)
+                if inbound is not None
+                else nullcontext()
+            )
+            with activation, self.obs.tracer.span(name, **attrs) as span:
+                if context is not None:
+                    span.set(trace_id=context.trace_id, span_ref=router_span_ref(context.trace_id))
+                worker_id, failovers, result = route(hop)
+                span.set(worker=worker_id, failovers=failovers)
+            held = hold
+        finally:
+            if not held:
+                self._release_admission()
+        trace_id = context.trace_id if context is not None else None
+        stamp = {"worker": worker_id, "failovers": failovers, "trace_id": trace_id}
+        return result, {key: value for key, value in stamp.items() if value}
+
+    def _candidates(self, key: str) -> list[str]:
+        """Live replicas in dispatch-preference order for ``key``."""
         with self._lock:
             if self.policy == "affinity":
-                return self._ring.preference(prefix_bucket(prompt, self.affinity_depth))
+                return self._ring.preference(prefix_bucket(key))
             ordered = sorted(self._workers)
             if not ordered:
                 return []
@@ -275,62 +354,24 @@ class FleetRouter:
             self._rr_index += 1
             return ordered[start:] + ordered[:start]
 
-    def _remaining_deadline(self, deadline_at: float | None) -> float | None:
-        if deadline_at is None:
-            return None
-        remaining = deadline_at - clock.now()
-        if remaining <= 0:
-            raise DeadlineExceededError("deadline exhausted before a replica answered")
-        return remaining
+    def _route(self, key: str, call, **seam):
+        """Run ``call(worker)`` on the best replica for ``key``, failing over.
 
-    def _mint_trace(self) -> TraceContext | None:
-        """A fresh trace context for one fleet request; None when not tracing.
-
-        The context's ``parent_span`` names the router's ``fleet.predict``
-        root span (:func:`~repro.obs.distributed.router_span_ref`), so a
-        worker adopting it parents its span tree under the router's.
-        """
-        if not self.obs.tracer.enabled:
-            return None
-        with self._lock:
-            trace_id = self._trace_ids.allocate()
-        return TraceContext(trace_id=trace_id, parent_span=router_span_ref(trace_id))
-
-    def _trace_for(self, inbound: TraceContext | None) -> TraceContext | None:
-        """The downstream context for one request: adopt or mint.
-
-        An ``inbound`` context (a client that already traces, or the REST
-        front door forwarding the propagation headers) keeps its trace id
-        end to end — the router re-parents it onto its own root span
-        reference so workers still nest under ``fleet.predict``.  Without
-        one, the router mints its own when tracing is enabled.
-        """
-        if inbound is not None:
-            return TraceContext(
-                trace_id=inbound.trace_id, parent_span=router_span_ref(inbound.trace_id)
-            )
-        return self._mint_trace()
-
-    def _dispatch(
-        self,
-        prompt: str,
-        max_new_tokens,
-        deadline_at: float | None,
-        trace_context: TraceContext | None = None,
-    ) -> dict:
-        """Send to the preferred replica; fail over / spill as needed.
-
-        Dead replicas trigger failover (membership change + re-dispatch);
-        overloaded replicas trigger spill (next preference, no membership
-        change).  Raises the fleet-level 503 only when every live replica
-        is saturated or gone.
+        The one routing loop every routed request kind goes through.  A
+        dead replica (:class:`~repro.errors.WorkerUnavailableError`, or an
+        injected ``fleet.dispatch`` fault) is declared dead — drained,
+        dropped from the ring — and the call re-runs against the
+        survivors: the request is re-enqueued, never dropped.  A
+        saturated replica (503) *spills* to the next preference without a
+        membership change.  When no candidate is left the fleet sheds,
+        carrying the replicas' own retry hint.  ``seam`` rides along to
+        the fault seam.  Returns ``(worker_id, failovers, result)``.
         """
         failovers = 0
         overloaded: set[str] = set()
         last_overload: ServiceOverloadedError | None = None
         while True:
-            progressed = False
-            for worker_id in self._candidates(prompt):
+            for worker_id in self._candidates(key):
                 if worker_id in overloaded:
                     continue
                 with self._lock:
@@ -338,41 +379,22 @@ class FleetRouter:
                 if worker is None:
                     continue  # raced with a heartbeat-driven removal
                 started = clock.now()
-                # Only ride the kwarg along when a context was minted, so
-                # minimal duck-typed workers (tests, adapters) that predate
-                # trace propagation keep working untraced.
-                extra = {"trace_context": trace_context} if trace_context is not None else {}
                 try:
-                    fire("fleet.dispatch", worker=worker_id)
-                    payload = worker.predict(
-                        prompt,
-                        max_new_tokens,
-                        deadline_s=self._remaining_deadline(deadline_at),
-                        **extra,
-                    )
+                    fire("fleet.dispatch", worker=worker_id, **seam)
+                    result = call(worker)
                 except (WorkerUnavailableError, InjectedFault):
-                    # The replica died under us: declare it dead (draining
-                    # it and rebalancing the ring) and re-enqueue this
-                    # request against the survivors.
                     self._on_worker_failure(worker_id, "dispatch_failed")
                     failovers += 1
-                    progressed = True
-                    break
+                    break  # membership changed: recompute the candidates
                 except ServiceOverloadedError as error:
                     last_overload = error
                     overloaded.add(worker_id)
-                    with self._lock:
-                        self.spill_count += 1
-                    self._c_spills.inc()
+                    self._count("spills")
                     continue
                 self._h_dispatch.observe(clock.now() - started)
-                with self._lock:
-                    self._last_heartbeat[worker_id] = clock.now()
-                payload["worker"] = worker_id
-                if failovers:
-                    payload["failovers"] = failovers
-                return payload
-            if not progressed:
+                self._touch(worker_id)
+                return worker_id, failovers, result
+            else:
                 if not self.live_worker_ids:
                     raise self._shed("no live replicas")
                 raise self._shed(
@@ -395,35 +417,17 @@ class FleetRouter:
         the fleet; see :meth:`_trace_for`) — carries it to the worker,
         and echoes the trace id back as ``"trace_id"``.
         """
-        if not isinstance(prompt, str) or not prompt.strip():
-            raise ServingError("prompt must be a non-empty string")
-        if not self._try_admit():
-            raise self._shed("fleet admission queue full")
-        deadline_at = clock.now() + deadline_s if deadline_s is not None else None
-        inbound = trace_context
-        trace_context = self._trace_for(inbound)
-        activation = (
-            self.obs.tracer.activate(inbound.trace_id, inbound.parent_span)
-            if inbound is not None
-            else nullcontext()
+        _require_text(prompt, "prompt")
+        payload, stamp = self._serve(
+            "fleet.predict",
+            trace_context,
+            deadline_s,
+            lambda hop: self._route(
+                prompt, lambda worker: worker.predict(prompt, max_new_tokens, **hop())
+            ),
         )
-        try:
-            with activation, self.obs.tracer.span("fleet.predict") as span:
-                if trace_context is not None:
-                    span.set(
-                        trace_id=trace_context.trace_id,
-                        span_ref=router_span_ref(trace_context.trace_id),
-                    )
-                payload = self._dispatch(prompt, max_new_tokens, deadline_at, trace_context)
-                span.set(worker=payload["worker"], failovers=payload.get("failovers", 0))
-        finally:
-            self._release_admission()
-        with self._lock:
-            self.request_count += 1
-        self._c_requests.inc()
-        if trace_context is not None:
-            payload["trace_id"] = trace_context.trace_id
-        return payload
+        self._count("requests")
+        return {**payload, **stamp}
 
     def predict_stream(
         self,
@@ -440,90 +444,33 @@ class FleetRouter:
         replay could duplicate delivered tokens, so mid-stream replica
         death surfaces as an in-band ``error`` event (status 503) and the
         replica is declared dead for subsequent requests; it is never
-        silently re-dispatched.
+        silently re-dispatched.  The stream holds its admission slot
+        until it ends.
         """
-        if not isinstance(prompt, str) or not prompt.strip():
-            raise ServingError("prompt must be a non-empty string")
-        deadline_at = clock.now() + deadline_s if deadline_s is not None else None
-        trace_context = self._trace_for(trace_context)
-        return self._stream(prompt, max_new_tokens, deadline_at, trace_context)
+        _require_text(prompt, "prompt")
+        return self._stream(prompt, max_new_tokens, deadline_s, trace_context)
 
-    def _stream(self, prompt, max_new_tokens, deadline_at, trace_context):
-        if not self._try_admit():
-            raise self._shed("fleet admission queue full")
+    def _stream(self, prompt, max_new_tokens, deadline_s, inbound):
+        def open_stream(worker, hop):
+            inner = worker.predict_stream(prompt, max_new_tokens, **hop())
+            return inner, next(inner, None)
+
+        (inner, first), stamp = self._serve(
+            "fleet.predict_stream",
+            inbound,
+            deadline_s,
+            lambda hop: self._route(
+                prompt, lambda worker: open_stream(worker, hop), stream=True
+            ),
+            hold=True,
+        )
+        self._count("stream_requests", "requests")
+        worker_id = stamp["worker"]
         try:
-            failovers = 0
-            overloaded: set[str] = set()
-            last_overload: ServiceOverloadedError | None = None
-            while True:
-                progressed = False
-                for worker_id in self._candidates(prompt):
-                    if worker_id in overloaded:
-                        continue
-                    with self._lock:
-                        worker = self._workers.get(worker_id)
-                    if worker is None:
-                        continue
-                    inner = None
-                    try:
-                        fire("fleet.dispatch", worker=worker_id, stream=True)
-                        inner = worker.predict_stream(
-                            prompt,
-                            max_new_tokens,
-                            deadline_s=self._remaining_deadline(deadline_at),
-                            trace_context=trace_context,
-                        )
-                        first = next(inner, None)
-                    except (WorkerUnavailableError, InjectedFault):
-                        self._on_worker_failure(worker_id, "dispatch_failed")
-                        failovers += 1
-                        progressed = True
-                        break
-                    except ServiceOverloadedError as error:
-                        last_overload = error
-                        overloaded.add(worker_id)
-                        with self._lock:
-                            self.spill_count += 1
-                        self._c_spills.inc()
-                        continue
-                    with self._lock:
-                        self.stream_request_count += 1
-                        self.request_count += 1
-                        self._last_heartbeat[worker_id] = clock.now()
-                    self._c_streams.inc()
-                    self._c_requests.inc()
-                    yield from self._relay_stream(
-                        inner, first, worker_id, failovers, trace_context
-                    )
-                    return
-                if not progressed:
-                    if not self.live_worker_ids:
-                        raise self._shed("no live replicas")
-                    raise self._shed(
-                        "every live replica is saturated",
-                        retry_after_s=last_overload.retry_after_s if last_overload else None,
-                    )
-        finally:
-            self._release_admission()
-
-    def _relay_stream(self, inner, first, worker_id, failovers, trace_context):
-        """Forward one replica's live stream, annotating terminal events."""
-
-        def annotate(event, data):
-            if event in ("done", "error"):
-                data = dict(data)
-                data["worker"] = worker_id
-                if failovers:
-                    data["failovers"] = failovers
-                if trace_context is not None:
-                    data.setdefault("trace_id", trace_context.trace_id)
-            return event, data
-
-        try:
-            if first is not None:
-                yield annotate(*first)
-                for event, data in inner:
-                    yield annotate(event, data)
+            for event, data in itertools.chain([first] if first is not None else [], inner):
+                if event in ("done", "error"):
+                    data = {**data, **stamp}
+                yield event, data
         except (WorkerUnavailableError, InjectedFault):
             # Died mid-stream: bytes already flowed, so no failover —
             # report in-band and declare the replica dead.
@@ -540,175 +487,7 @@ class FleetRouter:
             close = getattr(inner, "close", None)
             if close is not None:
                 close()
-
-    # -- sessions ------------------------------------------------------------
-
-    def _session_dispatch(self, worker_id: str, call) -> dict:
-        """One session call against a specific replica (no failover: the
-        warm KV slab lives only there).  A dead replica converts to
-        :class:`SessionNotFoundError` after dropping its mappings."""
-        with self._lock:
-            worker = self._workers.get(worker_id)
-        if worker is None:
-            raise SessionNotFoundError(f"(owner {worker_id} is gone)")
-        try:
-            fire("fleet.dispatch", worker=worker_id, session=True)
-            payload = call(worker)
-        except (WorkerUnavailableError, InjectedFault) as error:
-            self._on_worker_failure(worker_id, "dispatch_failed")
-            raise SessionNotFoundError(f"(owner {worker_id} died)") from error
-        with self._lock:
-            self._last_heartbeat[worker_id] = clock.now()
-        payload["worker"] = worker_id
-        return payload
-
-    def session_create(
-        self,
-        buffer: str,
-        max_new_tokens: int | None = None,
-        deadline_s: float | None = None,
-        trace_context: TraceContext | None = None,
-    ) -> dict:
-        """Open a keystroke session on the replica owning the buffer's
-        prefix bucket, then pin the session there (session affinity).
-
-        Creation routes like :meth:`predict` — failover and spill apply,
-        because no state exists yet.  Every subsequent extend must land on
-        the owning replica; the router keeps the ``session id -> worker``
-        map so callers never need to know fleet topology.
-        """
-        if not isinstance(buffer, str) or not buffer.strip():
-            raise ServingError("buffer must be a non-empty string")
-        if not self._try_admit():
-            raise self._shed("fleet admission queue full")
-        deadline_at = clock.now() + deadline_s if deadline_s is not None else None
-        trace_context = self._trace_for(trace_context)
-        try:
-            failovers = 0
-            overloaded: set[str] = set()
-            last_overload: ServiceOverloadedError | None = None
-            while True:
-                progressed = False
-                for worker_id in self._candidates(buffer):
-                    if worker_id in overloaded:
-                        continue
-                    with self._lock:
-                        worker = self._workers.get(worker_id)
-                    if worker is None:
-                        continue
-                    try:
-                        fire("fleet.dispatch", worker=worker_id, session=True)
-                        payload = worker.session_create(
-                            buffer,
-                            max_new_tokens,
-                            deadline_s=self._remaining_deadline(deadline_at),
-                            trace_context=trace_context,
-                        )
-                    except (WorkerUnavailableError, InjectedFault):
-                        self._on_worker_failure(worker_id, "dispatch_failed")
-                        failovers += 1
-                        progressed = True
-                        break
-                    except ServiceOverloadedError as error:
-                        last_overload = error
-                        overloaded.add(worker_id)
-                        with self._lock:
-                            self.spill_count += 1
-                        self._c_spills.inc()
-                        continue
-                    with self._lock:
-                        self._session_owner[payload["session_id"]] = worker_id
-                        self._last_heartbeat[worker_id] = clock.now()
-                        self.session_create_count += 1
-                        self.request_count += 1
-                    self._c_requests.inc()
-                    payload["worker"] = worker_id
-                    if failovers:
-                        payload["failovers"] = failovers
-                    if trace_context is not None:
-                        payload.setdefault("trace_id", trace_context.trace_id)
-                    return payload
-                if not progressed:
-                    if not self.live_worker_ids:
-                        raise self._shed("no live replicas")
-                    raise self._shed(
-                        "every live replica is saturated",
-                        retry_after_s=last_overload.retry_after_s if last_overload else None,
-                    )
-        finally:
             self._release_admission()
-
-    def session_extend(
-        self,
-        session_id: str,
-        buffer: str,
-        max_new_tokens: int | None = None,
-        deadline_s: float | None = None,
-        trace_context: TraceContext | None = None,
-    ) -> dict:
-        """Extend a session on its owning replica (affinity-pinned).
-
-        An unknown session — never created, already closed, owner dead,
-        or evicted replica-side — raises
-        :class:`~repro.errors.SessionNotFoundError`; callers (the editor
-        plugin, the REST 404 mapping) treat that as "re-create"."""
-        if not isinstance(buffer, str) or not buffer.strip():
-            raise ServingError("buffer must be a non-empty string")
-        with self._lock:
-            owner = self._session_owner.get(session_id)
-        if owner is None:
-            raise SessionNotFoundError(session_id)
-        if not self._try_admit():
-            raise self._shed("fleet admission queue full")
-        deadline_at = clock.now() + deadline_s if deadline_s is not None else None
-        trace_context = self._trace_for(trace_context)
-        try:
-            try:
-                payload = self._session_dispatch(
-                    owner,
-                    lambda worker: worker.session_extend(
-                        session_id,
-                        buffer,
-                        max_new_tokens,
-                        deadline_s=self._remaining_deadline(deadline_at),
-                        trace_context=trace_context,
-                    ),
-                )
-            except SessionNotFoundError:
-                # Owner dead or replica evicted it: the mapping is stale.
-                with self._lock:
-                    if self._session_owner.pop(session_id, None) is not None:
-                        self.sessions_lost += 1
-                        self._c_sessions_lost.inc()
-                raise
-            with self._lock:
-                self.session_extend_count += 1
-                self.request_count += 1
-            self._c_requests.inc()
-            if trace_context is not None:
-                payload.setdefault("trace_id", trace_context.trace_id)
-            return payload
-        finally:
-            self._release_admission()
-
-    def session_close(self, session_id: str) -> dict:
-        """Release a session wherever it lives; idempotent."""
-        with self._lock:
-            owner = self._session_owner.pop(session_id, None)
-        if owner is None:
-            return {"session_id": session_id, "closed": False}
-        try:
-            return self._session_dispatch(
-                owner, lambda worker: worker.session_close(session_id)
-            )
-        except SessionNotFoundError:
-            return {"session_id": session_id, "closed": False, "worker": owner}
-
-    @property
-    def sessions(self):
-        """Duck-type marker: the fleet always speaks the session API (the
-        editor plugin checks ``backend.sessions is not None``)."""
-        return self._session_owner
 
     def predict_batch(
         self,
@@ -727,45 +506,22 @@ class FleetRouter:
         if not isinstance(prompts, list) or not prompts:
             raise ServingError("prompts must be a non-empty list of strings")
         for prompt in prompts:
-            if not isinstance(prompt, str) or not prompt.strip():
-                raise ServingError("every prompt must be a non-empty string")
-        if not self._try_admit():
-            raise self._shed("fleet admission queue full")
-        deadline_at = clock.now() + deadline_s if deadline_s is not None else None
+            _require_text(prompt, "every prompt")
         started = clock.now()
-        inbound = trace_context
-        trace_context = self._trace_for(inbound)
-        activation = (
-            self.obs.tracer.activate(inbound.trace_id, inbound.parent_span)
-            if inbound is not None
-            else nullcontext()
+        merged, stamp = self._serve(
+            "fleet.predict_batch",
+            trace_context,
+            deadline_s,
+            lambda hop: (None, 0, self._dispatch_batch(prompts, max_new_tokens, hop)),
+            batch_size=len(prompts),
         )
-        try:
-            with activation, self.obs.tracer.span(
-                "fleet.predict_batch", batch_size=len(prompts)
-            ) as span:
-                if trace_context is not None:
-                    span.set(
-                        trace_id=trace_context.trace_id,
-                        span_ref=router_span_ref(trace_context.trace_id),
-                    )
-                merged = self._dispatch_batch(prompts, max_new_tokens, deadline_at, trace_context)
-        finally:
-            self._release_admission()
-        with self._lock:
-            self.request_count += len(prompts)
-            self.batch_request_count += 1
-        self._c_requests.inc(len(prompts))
-        self._c_batch_requests.inc()
+        self._count("requests", amount=len(prompts))
+        self._count("batch_requests")
         merged["latency_ms"] = (clock.now() - started) * 1000.0
         merged["batch_size"] = len(prompts)
-        if trace_context is not None:
-            merged["trace_id"] = trace_context.trace_id
-        return merged
+        return {**merged, **stamp}
 
-    def _dispatch_batch(
-        self, prompts: list[str], max_new_tokens, deadline_at, trace_context=None
-    ) -> dict:
+    def _dispatch_batch(self, prompts: list[str], max_new_tokens, hop) -> dict:
         completions: list[str | None] = [None] * len(prompts)
         cached: list[bool] = [False] * len(prompts)
         degraded: list[bool] = [False] * len(prompts)
@@ -788,15 +544,9 @@ class FleetRouter:
                     pending.extend(items)  # membership changed mid-grouping
                     continue
                 group_prompts = [prompt for _, prompt in items]
-                extra = {"trace_context": trace_context} if trace_context is not None else {}
                 try:
                     fire("fleet.dispatch", worker=worker_id, batch=len(items))
-                    payload = worker.predict_batch(
-                        group_prompts,
-                        max_new_tokens,
-                        deadline_s=self._remaining_deadline(deadline_at),
-                        **extra,
-                    )
+                    payload = worker.predict_batch(group_prompts, max_new_tokens, **hop())
                 except (WorkerUnavailableError, InjectedFault):
                     self._on_worker_failure(worker_id, "dispatch_failed")
                     pending.extend(items)  # re-enqueue the whole group
@@ -804,12 +554,9 @@ class FleetRouter:
                 except ServiceOverloadedError as error:
                     # Spill the whole group; bounded so a fully saturated
                     # fleet sheds instead of spinning.
-                    with self._lock:
-                        self.spill_count += 1
-                        live = len(self._workers)
-                    self._c_spills.inc()
+                    self._count("spills")
                     if bounce_budget is None:
-                        bounce_budget = max(1, live)
+                        bounce_budget = max(1, len(self.live_worker_ids))
                     bounce_budget -= 1
                     if bounce_budget <= 0:
                         raise self._shed(
@@ -826,8 +573,7 @@ class FleetRouter:
                     degraded[index] = was_degraded
                     workers[index] = worker_id
                 decoded += payload.get("decoded", 0)
-                with self._lock:
-                    self._last_heartbeat[worker_id] = clock.now()
+                self._touch(worker_id)
         return {
             "completions": completions,
             "cached": cached,
@@ -835,6 +581,127 @@ class FleetRouter:
             "workers": workers,
             "decoded": decoded,
         }
+
+    # -- sessions ------------------------------------------------------------
+
+    def session_create(
+        self,
+        buffer: str,
+        max_new_tokens: int | None = None,
+        deadline_s: float | None = None,
+        trace_context: TraceContext | None = None,
+    ) -> dict:
+        """Open a keystroke session on the replica owning the buffer's
+        prefix bucket, then pin the session there (session affinity).
+
+        Creation routes like :meth:`predict` — failover and spill apply,
+        because no state exists yet.  Every replica numbers its own
+        sessions, so the returned ``session_id`` names the owner too
+        (``w0.s0000``); every subsequent extend lands on that owner, and
+        callers never need to know fleet topology.
+        """
+        _require_text(buffer, "buffer")
+        payload, stamp = self._serve(
+            "fleet.session_create",
+            trace_context,
+            deadline_s,
+            lambda hop: self._route(
+                buffer,
+                lambda worker: worker.session_create(buffer, max_new_tokens, **hop()),
+                session=True,
+            ),
+        )
+        owner, local_id = stamp["worker"], payload["session_id"]
+        session_id = f"{owner}{SESSION_ID_SEP}{local_id}"
+        with self._lock:
+            self._sessions[session_id] = (owner, local_id)
+        self._count("session_creates", "requests")
+        return {**payload, **stamp, "session_id": session_id}
+
+    def session_extend(
+        self,
+        session_id: str,
+        buffer: str,
+        max_new_tokens: int | None = None,
+        deadline_s: float | None = None,
+        trace_context: TraceContext | None = None,
+    ) -> dict:
+        """Extend a session on its owning replica (affinity-pinned).
+
+        An unknown session — never created, already closed, owner dead,
+        or evicted replica-side — raises
+        :class:`~repro.errors.SessionNotFoundError`; callers (the editor
+        plugin, the REST 404 mapping) treat that as "re-create"."""
+        _require_text(buffer, "buffer")
+        with self._lock:
+            pinned = self._sessions.get(session_id)
+        if pinned is None:
+            raise SessionNotFoundError(session_id)
+        owner, local_id = pinned
+        payload, stamp = self._serve(
+            "fleet.session_extend",
+            trace_context,
+            deadline_s,
+            lambda hop: self._pinned(
+                session_id,
+                owner,
+                lambda worker: worker.session_extend(local_id, buffer, max_new_tokens, **hop()),
+            ),
+        )
+        self._count("session_extends", "requests")
+        return {**payload, **stamp, "session_id": session_id}
+
+    def session_close(self, session_id: str) -> dict:
+        """Release a session wherever it lives; idempotent."""
+        with self._lock:
+            pinned = self._sessions.pop(session_id, None)
+        if pinned is None:
+            return {"session_id": session_id, "closed": False}
+        owner, local_id = pinned
+        try:
+            _, _, payload = self._pinned(
+                session_id, owner, lambda worker: worker.session_close(local_id)
+            )
+        except SessionNotFoundError:
+            payload = {"closed": False}
+        return {**payload, "session_id": session_id, "worker": owner}
+
+    def _pinned(self, session_id: str, owner: str, call):
+        """Run ``call(worker)`` on the replica holding the session's warm
+        KV slab.  No failover: the slab lives only there.
+
+        A dead owner or a replica-side miss raises
+        :class:`SessionNotFoundError` and drops the mapping, counted once
+        in ``sessions_lost`` (by the death-time purge or here, never
+        both).  Returns ``(owner, 0, result)``, the shape of :meth:`_route`.
+        """
+        with self._lock:
+            worker = self._workers.get(owner)
+        try:
+            if worker is None:
+                raise SessionNotFoundError(session_id)
+            try:
+                fire("fleet.dispatch", worker=owner, session=True)
+                result = call(worker)
+            except (WorkerUnavailableError, InjectedFault) as error:
+                self._on_worker_failure(owner, "dispatch_failed")
+                raise SessionNotFoundError(session_id) from error
+            except SessionNotFoundError as error:  # evicted replica-side: name the fleet id
+                raise SessionNotFoundError(session_id) from error
+        except SessionNotFoundError:
+            with self._lock:
+                lost = self._sessions.pop(session_id, None) is not None
+            if lost:
+                self._count("sessions_lost")
+            raise
+        self._touch(owner)
+        return owner, 0, result
+
+    @property
+    def sessions(self):
+        """Duck-type marker: the fleet always speaks the session API (the
+        editor plugin checks ``backend.sessions is not None``)."""
+        return self._sessions
 
     # -- liveness ------------------------------------------------------------
 
@@ -860,9 +727,7 @@ class FleetRouter:
                 fire("fleet.heartbeat", worker=worker_id)
                 worker.heartbeat()
             except (WorkerUnavailableError, InjectedFault, ServingError):
-                with self._lock:
-                    self.heartbeat_miss_count += 1
-                self._c_heartbeat_misses.inc()
+                self._count("heartbeat_misses")
             else:
                 with self._lock:
                     if worker_id in self._workers:
@@ -926,31 +791,22 @@ class FleetRouter:
     def stats(self) -> dict:
         """Fleet-wide ``/v1/stats``: router counters, per-replica stats,
         and cross-replica aggregates (prefix-cache hit rate, decode
-        tokens, resident KV bytes) a dashboard wants in one number."""
+        tokens, resident KV bytes) a dashboard wants in one number.
+
+        The router's numbers are read from its metrics registry, so this
+        view, ``/v1/metrics`` and the Prometheus exposition cannot
+        disagree."""
         with self._lock:
             report = {
                 "policy": self.policy,
                 "live_workers": sorted(self._workers),
                 "dead_workers": dict(self._dead),
                 "max_inflight": self.max_inflight,
-                "inflight": self._inflight_count,
-                "requests": self.request_count,
-                "batch_requests": self.batch_request_count,
-                "stream_requests": self.stream_request_count,
-                "session_creates": self.session_create_count,
-                "session_extends": self.session_extend_count,
-                "sessions_lost": self.sessions_lost,
-                "live_sessions": len(self._session_owner),
-                "shed_requests": self.shed_count,
-                "failovers": self.failover_count,
-                "spills": self.spill_count,
-                "rebalances": self.rebalance_count,
-                "heartbeat_misses": self.heartbeat_miss_count,
-                "workers_lost": self.workers_lost,
-                "respawns": self.respawn_count,
-                "spawn_failures": self.spawn_failures,
+                "inflight": int(self._g_inflight.value),
+                "live_sessions": len(self._sessions),
             }
             workers = list(self._workers.items())
+        report.update((key, counter.value) for key, counter in self._counters.items())
         per_worker: dict[str, dict] = {}
         aggregate = {
             "requests": 0,

@@ -1,19 +1,26 @@
 """Fleet workers: one engine replica each, behind a uniform handle.
 
-The router only sees the *worker protocol* — duck-typed, six calls::
+The router only sees the *worker protocol* — duck-typed::
 
     predict(prompt, max_new_tokens=None, deadline_s=None,
             trace_context=None) -> payload dict
     predict_batch(prompts, ...) -> payload dict
+    predict_stream(prompt, ...) -> iterator of (event, data) tuples
+    session_create(buffer, ...) -> payload dict with "session_id"
+    session_extend(session_id, buffer, ...) -> payload dict
+    session_close(session_id) -> {"session_id": ..., "closed": bool}
     heartbeat() -> float            # raises WorkerUnavailableError when dead
     stats() / health() -> dict
     telemetry() -> dict             # span/metric/profile drain for collectors
-    stop()                          # release resources
+    kill() / stop()                 # abrupt death / release resources
 
-``trace_context`` is a :class:`~repro.obs.distributed.TraceContext`
-minted by the router: in-process workers hand it straight to the
-service, process workers render it as the ``X-Repro-*`` trace headers on
-the HTTP call — either way the replica's spans parent under the router's.
+The first five calls take ``deadline_s`` and ``trace_context``
+keywords, as the service's own methods do.  ``trace_context`` is a
+:class:`~repro.obs.distributed.TraceContext` minted by the router:
+in-process workers hand it straight to the service, process workers
+render it as the ``X-Repro-*`` trace headers on the HTTP call — either
+way the replica's spans parent under the router's.  Session ids here are
+the replica's own; the router maps them to fleet-wide ids.
 
 Two implementations ship:
 
@@ -41,17 +48,10 @@ from __future__ import annotations
 
 import multiprocessing
 import threading
-import urllib.error
+from contextlib import contextmanager
 from dataclasses import dataclass
 
-from repro.errors import (
-    DeadlineExceededError,
-    RequestCancelledError,
-    ServiceOverloadedError,
-    ServingError,
-    WorkerCrashed,
-    WorkerUnavailableError,
-)
+from repro.errors import ServiceUnreachableError, WorkerCrashed, WorkerUnavailableError
 from repro.faults import clock
 from repro.faults.inject import fire
 
@@ -205,33 +205,35 @@ class InProcessWorker:
     def stop(self) -> None:
         self.alive = False
 
-    # -- worker protocol -----------------------------------------------------
-
-    def _guard(self):
-        if not self.alive:
-            raise self._unavailable()
-
-    def predict(self, prompt: str, max_new_tokens=None, deadline_s=None, trace_context=None) -> dict:
-        self._guard()
+    @contextmanager
+    def _crashes_unavailable(self):
+        """A :class:`WorkerCrashed` inside crashes the replica and surfaces
+        as :class:`WorkerUnavailableError`, as a dropped connection would."""
         try:
-            return self.service.predict(
-                prompt, max_new_tokens, deadline_s=deadline_s, trace_context=trace_context
-            )
+            yield
         except WorkerCrashed as crash:
             self._crash()
             raise self._unavailable() from crash
+
+    def _call(self, method: str, *args, **kwargs):
+        if not self.alive:
+            raise self._unavailable()
+        with self._crashes_unavailable():
+            return getattr(self.service, method)(*args, **kwargs)
+
+    # -- worker protocol -----------------------------------------------------
+
+    def predict(self, prompt: str, max_new_tokens=None, deadline_s=None, trace_context=None) -> dict:
+        return self._call(
+            "predict", prompt, max_new_tokens, deadline_s=deadline_s, trace_context=trace_context
+        )
 
     def predict_batch(
         self, prompts: list[str], max_new_tokens=None, deadline_s=None, trace_context=None
     ) -> dict:
-        self._guard()
-        try:
-            return self.service.predict_batch(
-                prompts, max_new_tokens, deadline_s=deadline_s, trace_context=trace_context
-            )
-        except WorkerCrashed as crash:
-            self._crash()
-            raise self._unavailable() from crash
+        return self._call(
+            "predict_batch", prompts, max_new_tokens, deadline_s=deadline_s, trace_context=trace_context
+        )
 
     def predict_stream(self, prompt: str, max_new_tokens=None, deadline_s=None, trace_context=None):
         """Stream ``(event, data)`` tuples from the replica's service.
@@ -241,47 +243,38 @@ class InProcessWorker:
         the stream converts to :class:`WorkerUnavailableError` exactly as
         ``predict`` does, so router-side failover semantics stay uniform.
         """
-        self._guard()
-        inner = self.service.predict_stream(
-            prompt, max_new_tokens, deadline_s=deadline_s, trace_context=trace_context
+        inner = self._call(
+            "predict_stream", prompt, max_new_tokens, deadline_s=deadline_s, trace_context=trace_context
         )
 
         def relay():
             try:
-                yield from inner
-            except WorkerCrashed as crash:
-                self._crash()
-                raise self._unavailable() from crash
+                with self._crashes_unavailable():
+                    yield from inner
             finally:
                 inner.close()
 
         return relay()
 
     def session_create(self, buffer: str, max_new_tokens=None, deadline_s=None, trace_context=None) -> dict:
-        self._guard()
-        try:
-            return self.service.session_create(
-                buffer, max_new_tokens, deadline_s=deadline_s, trace_context=trace_context
-            )
-        except WorkerCrashed as crash:
-            self._crash()
-            raise self._unavailable() from crash
+        return self._call(
+            "session_create", buffer, max_new_tokens, deadline_s=deadline_s, trace_context=trace_context
+        )
 
     def session_extend(
         self, session_id: str, buffer: str, max_new_tokens=None, deadline_s=None, trace_context=None
     ) -> dict:
-        self._guard()
-        try:
-            return self.service.session_extend(
-                session_id, buffer, max_new_tokens, deadline_s=deadline_s, trace_context=trace_context
-            )
-        except WorkerCrashed as crash:
-            self._crash()
-            raise self._unavailable() from crash
+        return self._call(
+            "session_extend",
+            session_id,
+            buffer,
+            max_new_tokens,
+            deadline_s=deadline_s,
+            trace_context=trace_context,
+        )
 
     def session_close(self, session_id: str) -> dict:
-        self._guard()
-        return self.service.session_close(session_id)
+        return self._call("session_close", session_id)
 
     def session_count(self) -> int:
         """Live server-side keystroke sessions (orphan accounting)."""
@@ -289,20 +282,18 @@ class InProcessWorker:
         return sessions.count if sessions is not None else 0
 
     def heartbeat(self) -> float:
-        self._guard()
+        if not self.alive:
+            raise self._unavailable()
         return clock.now()
 
     def health(self) -> dict:
-        self._guard()
-        return dict(self.service.health(), worker=self.worker_id)
+        return dict(self._call("health"), worker=self.worker_id)
 
     def stats(self) -> dict:
-        self._guard()
-        return self.service.stats()
+        return self._call("stats")
 
     def telemetry(self) -> dict:
-        self._guard()
-        return self.service.telemetry()
+        return self._call("telemetry")
 
     def arena_bytes_in_use(self) -> int:
         """KV bytes the replica's arena still holds (leak accounting)."""
@@ -321,22 +312,22 @@ def _process_worker_main(spec: WorkerSpec, port_queue) -> None:
     threading.Event().wait()  # serve until the parent terminates us
 
 
+#: Seconds a :class:`ProcessWorker` waits for its child to report a port.
+START_TIMEOUT_S = 60.0
+#: Socket timeout of every HTTP call from a :class:`ProcessWorker` to its child.
+REQUEST_TIMEOUT_S = 30.0
+#: ``spawn``, not ``fork``: a forked child would inherit the parent's
+#: threads' locks (heartbeat loop, HTTP server) in whatever state they held.
+MP_CONTEXT = "spawn"
+
+
 class ProcessWorker:
     """One replica in a child process, reached over HTTP."""
 
-    def __init__(
-        self,
-        worker_id: str,
-        spec: WorkerSpec,
-        start_timeout_s: float = 60.0,
-        request_timeout_s: float = 30.0,
-        mp_context: str = "spawn",
-    ):
+    def __init__(self, worker_id: str, spec: WorkerSpec):
         self.worker_id = worker_id
         self.spec = spec
-        self.start_timeout_s = start_timeout_s
-        self.request_timeout_s = request_timeout_s
-        self._ctx = multiprocessing.get_context(mp_context)
+        self._ctx = multiprocessing.get_context(MP_CONTEXT)
         self._process = None
         self._client = None
         self.url: str | None = None
@@ -355,14 +346,14 @@ class ProcessWorker:
         )
         self._process.start()
         try:
-            port = port_queue.get(timeout=self.start_timeout_s)
+            port = port_queue.get(timeout=START_TIMEOUT_S)
         except Exception as error:
             self.stop()
             raise WorkerUnavailableError(
                 f"worker {self.worker_id} failed to start: {error}", worker_id=self.worker_id
             ) from error
         self.url = f"http://127.0.0.1:{port}"
-        self._client = PredictionClient(self.url, timeout=self.request_timeout_s)
+        self._client = PredictionClient(self.url, timeout=REQUEST_TIMEOUT_S)
         return self
 
     def kill(self) -> None:
@@ -377,49 +368,43 @@ class ProcessWorker:
             self._process = None
         self._client = None
 
-    # -- worker protocol -----------------------------------------------------
+    @contextmanager
+    def _unreachable_unavailable(self):
+        """A transport failure surfaces as :class:`WorkerUnavailableError`;
+        every answer the child gave (503, 504, 404, ...) passes through."""
+        try:
+            yield
+        except ServiceUnreachableError as error:
+            raise WorkerUnavailableError(
+                f"worker {self.worker_id} unreachable: {error}", worker_id=self.worker_id
+            ) from error
 
-    def _unavailable(self, error: BaseException) -> WorkerUnavailableError:
-        return WorkerUnavailableError(
-            f"worker {self.worker_id} unreachable: {error}", worker_id=self.worker_id
-        )
-
-    def _call(self, method, *args, **kwargs):
+    def _call(self, method: str, *args, deadline_s=None, trace_context=None):
+        """One client call: deadline in ms, trace headers, transport errors mapped."""
         if self._client is None:
             raise WorkerUnavailableError(
                 f"worker {self.worker_id} is not started", worker_id=self.worker_id
             )
-        try:
-            return method(*args, **kwargs)
-        except (ServiceOverloadedError, DeadlineExceededError, RequestCancelledError):
-            raise  # typed backpressure/deadline statuses pass through untouched
-        except ServingError as error:
-            cause = error.__cause__
-            transport = isinstance(cause, urllib.error.URLError) and not isinstance(
-                cause, urllib.error.HTTPError
-            )
-            if transport:
-                raise self._unavailable(error) from error
-            raise
+        kwargs = {}
+        if deadline_s is not None:
+            kwargs["deadline_ms"] = deadline_s * 1000.0
+        if trace_context is not None:
+            kwargs["headers"] = trace_context.to_headers()
+        with self._unreachable_unavailable():
+            return getattr(self._client, method)(*args, **kwargs)
+
+    # -- worker protocol -----------------------------------------------------
 
     def predict(self, prompt: str, max_new_tokens=None, deadline_s=None, trace_context=None) -> dict:
-        deadline_ms = deadline_s * 1000.0 if deadline_s is not None else None
-        headers = trace_context.to_headers() if trace_context is not None else None
         return self._call(
-            self._client.predict, prompt, max_new_tokens, deadline_ms=deadline_ms, headers=headers
+            "predict", prompt, max_new_tokens, deadline_s=deadline_s, trace_context=trace_context
         )
 
     def predict_batch(
         self, prompts: list[str], max_new_tokens=None, deadline_s=None, trace_context=None
     ) -> dict:
-        deadline_ms = deadline_s * 1000.0 if deadline_s is not None else None
-        headers = trace_context.to_headers() if trace_context is not None else None
         return self._call(
-            self._client.predict_batch,
-            prompts,
-            max_new_tokens,
-            deadline_ms=deadline_ms,
-            headers=headers,
+            "predict_batch", prompts, max_new_tokens, deadline_s=deadline_s, trace_context=trace_context
         )
 
     def predict_stream(self, prompt: str, max_new_tokens=None, deadline_s=None, trace_context=None):
@@ -431,72 +416,47 @@ class ProcessWorker:
         the stream against an unreachable child raises
         :class:`WorkerUnavailableError` before any event flows.
         """
-        if self._client is None:
-            raise WorkerUnavailableError(
-                f"worker {self.worker_id} is not started", worker_id=self.worker_id
-            )
-        deadline_ms = deadline_s * 1000.0 if deadline_s is not None else None
-        headers = trace_context.to_headers() if trace_context is not None else None
+        events = self._call(
+            "predict_stream", prompt, max_new_tokens, deadline_s=deadline_s, trace_context=trace_context
+        )
 
         def relay():
-            try:
-                inner = self._client.predict_stream(
-                    prompt, max_new_tokens, deadline_ms=deadline_ms, headers=headers
-                )
-                for event in inner:
-                    if event.comment:
-                        continue
-                    yield event.event, event.json()
-            except (ServiceOverloadedError, DeadlineExceededError, RequestCancelledError):
-                raise
-            except ServingError as error:
-                cause = error.__cause__
-                transport = isinstance(cause, urllib.error.URLError) and not isinstance(
-                    cause, urllib.error.HTTPError
-                )
-                if transport:
-                    raise self._unavailable(error) from error
-                raise
+            with self._unreachable_unavailable():
+                for event in events:
+                    if not event.comment:
+                        yield event.event, event.json()
 
         return relay()
 
     def session_create(self, buffer: str, max_new_tokens=None, deadline_s=None, trace_context=None) -> dict:
-        deadline_ms = deadline_s * 1000.0 if deadline_s is not None else None
-        headers = trace_context.to_headers() if trace_context is not None else None
         return self._call(
-            self._client.session_create,
-            buffer,
-            max_new_tokens,
-            deadline_ms=deadline_ms,
-            headers=headers,
+            "session_create", buffer, max_new_tokens, deadline_s=deadline_s, trace_context=trace_context
         )
 
     def session_extend(
         self, session_id: str, buffer: str, max_new_tokens=None, deadline_s=None, trace_context=None
     ) -> dict:
-        deadline_ms = deadline_s * 1000.0 if deadline_s is not None else None
-        headers = trace_context.to_headers() if trace_context is not None else None
         return self._call(
-            self._client.session_extend,
+            "session_extend",
             session_id,
             buffer,
             max_new_tokens,
-            deadline_ms=deadline_ms,
-            headers=headers,
+            deadline_s=deadline_s,
+            trace_context=trace_context,
         )
 
     def session_close(self, session_id: str) -> dict:
-        return self._call(self._client.session_close, session_id)
+        return self._call("session_close", session_id)
 
     def heartbeat(self) -> float:
-        self._call(self._client.health)
+        self._call("health")
         return clock.now()
 
     def health(self) -> dict:
-        return dict(self._call(self._client.health), worker=self.worker_id)
+        return dict(self._call("health"), worker=self.worker_id)
 
     def stats(self) -> dict:
-        return self._call(self._client.stats)
+        return self._call("stats")
 
     def telemetry(self) -> dict:
-        return self._call(self._client.telemetry)
+        return self._call("telemetry")

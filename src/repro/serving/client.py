@@ -18,6 +18,7 @@ import urllib.request
 from repro.errors import (
     DeadlineExceededError,
     ServiceOverloadedError,
+    ServiceUnreachableError,
     ServingError,
     SessionNotFoundError,
 )
@@ -146,7 +147,7 @@ class PredictionClient:
         except urllib.error.HTTPError as error:
             self._raise_http(method, path, error)
         except urllib.error.URLError as error:
-            raise ServingError(f"cannot reach service at {url}: {error}") from error
+            raise ServiceUnreachableError(f"cannot reach service at {url}: {error}") from error
 
     def _request(
         self,
@@ -171,15 +172,9 @@ class PredictionClient:
                 self._sleep(policy.delay(attempt, error.retry_after_s))
             except DeadlineExceededError:
                 raise  # a later retry cannot beat an already-spent deadline
-            except ServingError as error:
+            except ServiceUnreachableError:
                 # Transport-level failure (unreachable host); HTTP-level
-                # errors other than 503/504 raised above are not retried.
-                cause = error.__cause__
-                transport = isinstance(cause, urllib.error.URLError) and not isinstance(
-                    cause, urllib.error.HTTPError  # HTTPError subclasses URLError
-                )
-                if not transport:
-                    raise
+                # errors other than 503/504 are not retried.
                 swept += 1
                 if swept < len(self.base_urls):
                     # Another replica may be up: rotate and retry NOW —
@@ -283,7 +278,7 @@ class PredictionClient:
         except urllib.error.HTTPError as error:
             self._raise_http("POST", path, error)
         except urllib.error.URLError as error:
-            raise ServingError(f"cannot reach service at {url}: {error}") from error
+            raise ServiceUnreachableError(f"cannot reach service at {url}: {error}") from error
         parser = SseParser()
         try:
             while True:
@@ -362,9 +357,12 @@ class PredictionClient:
 
     def metrics_prometheus(self) -> str:
         """Prometheus text exposition from ``/v1/metrics?format=prometheus``."""
-        url = self.base_url + "/v1/metrics?format=prometheus"
+        path = "/v1/metrics?format=prometheus"
+        url = self.base_url + path
         try:
             with urllib.request.urlopen(url, timeout=self.timeout) as response:
                 return response.read().decode("utf-8")
+        except urllib.error.HTTPError as error:
+            self._raise_http("GET", path, error)
         except urllib.error.URLError as error:
-            raise ServingError(f"cannot reach service at {url}: {error}") from error
+            raise ServiceUnreachableError(f"cannot reach service at {url}: {error}") from error

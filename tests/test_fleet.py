@@ -22,6 +22,7 @@ from repro.errors import (
     FleetError,
     ServiceOverloadedError,
     ServingError,
+    SessionNotFoundError,
     WorkerUnavailableError,
 )
 from repro.faults import FakeClock, use
@@ -183,12 +184,12 @@ class FakeWorker:
         if self.overloaded:
             raise ServiceOverloadedError(f"{self.worker_id} saturated", retry_after_s=0.25)
 
-    def predict(self, prompt, max_new_tokens=None, deadline_s=None):
+    def predict(self, prompt, max_new_tokens=None, deadline_s=None, trace_context=None):
         self._check()
         self.calls.append(prompt)
         return {"completion": prompt + "!", "cached": False, "degraded": False}
 
-    def predict_batch(self, prompts, max_new_tokens=None, deadline_s=None):
+    def predict_batch(self, prompts, max_new_tokens=None, deadline_s=None, trace_context=None):
         self._check()
         self.calls.extend(prompts)
         return {
@@ -519,6 +520,42 @@ class TestRouterOverEngines:
             assert client.stats()["aggregate"]["requests"] >= 1
 
 
+class TestFleetSessions:
+    """Every replica numbers its sessions from s0000; fleet ids must not collide."""
+
+    BUFFERS = ("- name: Install nginx\n", "- name: Start the ssh service\n")
+
+    def test_sessions_on_two_replicas_stay_with_their_owner(self):
+        workers = [
+            InProcessWorker(f"w{i}", spec=WorkerSpec(seed=i, max_new_tokens=6)).start()
+            for i in range(2)
+        ]
+        router = FleetRouter(workers, policy="round_robin")
+        try:
+            created = [router.session_create(buffer, max_new_tokens=6) for buffer in self.BUFFERS]
+            assert [payload["worker"] for payload in created] == ["w0", "w1"]
+            assert created[0]["session_id"] != created[1]["session_id"]
+            grown = [
+                buffer + payload["completion"] + "\n- name: Restart it\n"
+                for buffer, payload in zip(self.BUFFERS, created)
+            ]
+            for payload, worker, buffer in zip(created, workers, grown):
+                extended = router.session_extend(payload["session_id"], buffer, max_new_tokens=6)
+                assert extended["worker"] == worker.worker_id
+                assert extended["session_id"] == payload["session_id"]
+                cold = worker.session_create(buffer, max_new_tokens=6)
+                worker.session_close(cold["session_id"])
+                assert extended["completion"] == cold["completion"]
+            assert router.session_close(created[0]["session_id"])["closed"]
+            again = router.session_extend(
+                created[1]["session_id"], grown[1] + "  become: true\n", max_new_tokens=6
+            )
+            assert again["worker"] == "w1"
+            assert router.stats()["sessions_lost"] == 0
+        finally:
+            router.stop()
+
+
 class TestProcessWorker:
     @pytest.mark.slow
     def test_process_replica_roundtrip(self):
@@ -530,19 +567,41 @@ class TestProcessWorker:
             payload = worker.predict("- name: Install nginx\n", max_new_tokens=4)
             assert isinstance(payload["completion"], str)
             assert worker.health()["status"] == "ok"
+            with pytest.raises(SessionNotFoundError):  # an HTTP answer, not unreachable
+                worker.session_extend("s9999", "- name: Install nginx\n")
         finally:
             worker.stop()
         assert not worker.alive
 
-    @pytest.mark.slow
-    def test_killed_process_surfaces_unavailable(self):
+    PROMPT = "- name: anything\n"
+    #: Every protocol call, each against the same killed replica.
+    CALLS = {
+        "predict": lambda worker, prompt: worker.predict(prompt),
+        "predict_batch": lambda worker, prompt: worker.predict_batch([prompt]),
+        "predict_stream": lambda worker, prompt: next(worker.predict_stream(prompt)),
+        "session_create": lambda worker, prompt: worker.session_create(prompt),
+        "session_extend": lambda worker, prompt: worker.session_extend("s0000", prompt),
+        "session_close": lambda worker, prompt: worker.session_close("s0000"),
+        "health": lambda worker, prompt: worker.health(),
+        "stats": lambda worker, prompt: worker.stats(),
+        "telemetry": lambda worker, prompt: worker.telemetry(),
+    }
+
+    @pytest.fixture(scope="class")
+    def killed_worker(self):
         from repro.fleet import ProcessWorker
 
         worker = ProcessWorker("p1", WorkerSpec(seed=0)).start()
         try:
             worker.kill()
             worker._process.join(timeout=10)
-            with pytest.raises(WorkerUnavailableError):
-                worker.predict("- name: anything\n")
+            assert not worker.alive
+            yield worker
         finally:
             worker.stop()
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("call", list(CALLS))
+    def test_killed_process_surfaces_unavailable(self, killed_worker, call):
+        with pytest.raises(WorkerUnavailableError):
+            self.CALLS[call](killed_worker, self.PROMPT)
